@@ -6,6 +6,11 @@ default):
 * the *filter phase* — computing every pruner's quick lower bound for
   the whole database — through the old scalar per-candidate path versus
   the vectorized bulk kernels, per pruner family;
+* the *exact stage* — the exact 2-D HD on every candidate whose quick
+  bound does not exceed the query's final k-th best EDR — through the
+  Dinic flow oracle rebuilt per candidate (``tests/oracles.py``) versus
+  one per-query :class:`~repro.core.histogram.HistogramMatcher`, with
+  every value asserted equal;
 * a 4-query serving workload answered by four sequential
   :func:`repro.knn_search` calls versus one :func:`repro.knn_batch`
   call with 4 workers.
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -36,7 +42,12 @@ from repro import (
     knn_search,
 )
 
+from repro.core.histogram import HistogramMatcher
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT))  # the flow oracle lives in tests/
+
+from tests.oracles import flow_histogram_distance  # noqa: E402
 
 
 def make_database(count: int, seed: int = 0) -> TrajectoryDatabase:
@@ -93,6 +104,50 @@ def bench_filter_phase(database, query, repeats: int) -> dict:
             "speedup": scalar_seconds / bulk_seconds if bulk_seconds else float("inf"),
         }
     return results
+
+
+def bench_exact_stage(database, queries, k: int, repeats: int) -> dict:
+    """Flow oracle vs per-query matcher on the exact-stage candidates."""
+    pruner = HistogramPruner(database)
+    space, histograms = database.histograms()
+    workload = []
+    for query in queries:
+        neighbors, _ = knn_search(database, query, k, [pruner])
+        quick = pruner.for_query(query).bulk_quick_lower_bounds()
+        survivors = np.nonzero(quick <= neighbors[-1].distance)[0]
+        workload.append(
+            (space.histogram(query), [histograms[i] for i in survivors])
+        )
+
+    def flow():
+        return [
+            flow_histogram_distance(query_histogram, candidate)
+            for query_histogram, candidates in workload
+            for candidate in candidates
+        ]
+
+    def matcher():
+        values = []
+        for query_histogram, candidates in workload:
+            per_query = HistogramMatcher(query_histogram)
+            values.extend(per_query.distance(candidate) for candidate in candidates)
+        return values
+
+    flow_seconds = best_of(repeats, flow)
+    matcher_seconds = best_of(repeats, matcher)
+    assert flow() == matcher()
+    calls = sum(len(candidates) for _, candidates in workload)
+    return {
+        "queries": len(queries),
+        "calls": calls,
+        "flow_seconds": flow_seconds,
+        "matcher_seconds": matcher_seconds,
+        "flow_us_per_call": flow_seconds / calls * 1e6 if calls else 0.0,
+        "matcher_us_per_call": matcher_seconds / calls * 1e6 if calls else 0.0,
+        "speedup": flow_seconds / matcher_seconds
+        if matcher_seconds
+        else float("inf"),
+    }
 
 
 def bench_batch(database, queries, k: int, workers: int, repeats: int) -> dict:
@@ -154,6 +209,15 @@ def main() -> int:
             f"{row['bulk_seconds'] * 1e3:>8.1f}ms {row['speedup']:>8.1f}x"
         )
 
+    exact_results = bench_exact_stage(database, queries, args.k, args.repeats)
+    exact_line = (
+        f"exact stage ({exact_results['calls']} calls): "
+        f"flow {exact_results['flow_us_per_call']:.1f}us/call, "
+        f"matcher {exact_results['matcher_us_per_call']:.1f}us/call "
+        f"({exact_results['speedup']:.1f}x)"
+    )
+    print(f"\n{exact_line}")
+
     batch_results = bench_batch(
         database, queries, args.k, args.workers, args.repeats
     )
@@ -173,6 +237,7 @@ def main() -> int:
         "database_size": args.count,
         "filter_phase": filter_results,
         "filter_phase_overall_speedup": overall,
+        "exact_stage": exact_results,
         "batch": batch_results,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
@@ -190,6 +255,7 @@ def main() -> int:
             f"{row['bulk_seconds'] * 1e3:>8.1f}ms {row['speedup']:>8.1f}x"
         )
     lines.append("")
+    lines.append(exact_line)
     lines.append(
         f"{batch_results['queries']} queries, k={batch_results['k']}: "
         f"sequential knn_search "

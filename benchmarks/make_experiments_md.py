@@ -191,7 +191,11 @@ SECTIONS = [
         "Not a paper experiment: the filter phase (every pruner's lower "
         "bound over the whole database) rewritten as vectorized bulk "
         "kernels with bit-identical values, versus the scalar "
-        "per-candidate loop, plus `knn_batch` (shared warm pruners, "
+        "per-candidate loop; the exact 2-D HD stage through one "
+        "per-query `HistogramMatcher` versus the Dinic flow oracle "
+        "rebuilt per candidate, on the candidates whose quick bound does "
+        "not exceed the final k-th best EDR (values asserted equal); "
+        "plus `knn_batch` (shared warm pruners, "
         "sorted engine) versus naive sequential `knn_search` calls. "
         "Generated by `python benchmarks/bench_bulk_bounds.py` "
         "(also writes `BENCH_bulk_bounds.json`).",
@@ -252,10 +256,11 @@ SECTIONS = [
         "shared-memory database shards (`ShardedDatabase`, "
         "docs/SHARDING.md) versus serial `knn_search`, answers "
         "oracle-asserted byte-for-byte identical at every shard count. "
-        "The 1-shard row isolates the pipeline's scheduling win (the "
-        "two-stage exact histogram bound is paid only where cheap); "
-        "multi-shard scaling beyond it requires real cores — on a "
-        "single-CPU host the extra shards only add IPC, which the table "
+        "The serial baseline pays the exact 2-D histogram stage, which "
+        "the sharded schedule skips (`exact_stage=\"auto\"`); through the "
+        "per-query matcher that stage is cheap, so the 1-shard row is "
+        "no longer a large scheduling win.  Scaling needs real cores: "
+        "shards beyond the CPU count only add IPC, which the table "
         "records honestly (`cpu_count` is in the JSON).  Generated by "
         "`python benchmarks/bench_shards.py` (also writes "
         "`BENCH_shards.json`).",
@@ -274,9 +279,9 @@ SECTIONS = [
         "(aggregate capacity `replicas x cache_size`, no duplicated "
         "entries), so with a hot-query pool larger than one engine's "
         "cache the single engine thrashes while the fleet holds the "
-        "whole pool — the committed single-core numbers isolate that "
-        "cache effect (`cpu_count` is in the JSON); multi-core hosts "
-        "add miss-path parallelism on top.  Generated by "
+        "whole pool — that cache effect dominates the committed "
+        "numbers (`cpu_count` is in the JSON); more cores add miss-path "
+        "parallelism on top.  Generated by "
         "`python benchmarks/bench_replicas.py` (also writes "
         "`BENCH_replicas.json`, gated in CI with "
         "`--require-speedup 2.5`).",

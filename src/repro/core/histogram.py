@@ -17,6 +17,9 @@ the chained-match cases (A-B, B-C) where the paper's net-first
 CompHisDist pseudo-code overshoots.  On exact-match (string) alphabets
 the formula collapses to the classic frequency distance.
 
+``M`` is computed by one :class:`HistogramMatcher` per query, built
+once and reused for every candidate.
+
 Bin-size variants: Corollary 1 allows histograms with bin size δ·ε
 (δ >= 2) and per-axis one-dimensional histograms, both still lower
 bounds of EDR at threshold ε.  :class:`HistogramSpace` covers all of
@@ -25,7 +28,7 @@ these — callers choose the bin size and the projection.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from itertools import product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -39,6 +42,7 @@ except ImportError:  # pragma: no cover - exercised only without scipy
 from .trajectory import Trajectory
 
 __all__ = [
+    "HistogramMatcher",
     "HistogramSpace",
     "HistogramArrayStore",
     "histogram_distance",
@@ -126,138 +130,141 @@ def _approximate_neighbors(bin_index: BinIndex) -> Iterable[BinIndex]:
         yield tuple(b + o for b, o in zip(bin_index, offset))
 
 
-def _max_cancellation_1d(
-    surplus: Dict[BinIndex, int], deficit: Dict[BinIndex, int]
-) -> int:
-    """Exact maximum matching for one-dimensional (path-adjacency) bins.
+class HistogramMatcher:
+    """Maximum ε-matchable mass between one query histogram and any candidate.
 
-    On a line, a unit in bin b can only pair with bins b-1, b, b+1, so a
-    left-to-right greedy that always serves the expiring carry first is
-    optimal (a standard exchange argument) — no flow solver needed.
-    The property-based tests cross-check this against the Dinic path.
+    The exact HD of :func:`histogram_distance` needs ``M``: the largest
+    one-to-one pairing of elements across approximately-matching bins, a
+    bipartite max-flow with the candidate bins (supply = count) on one
+    side and the query bins (capacity = count) on the other.  Engines
+    evaluate it for many candidates against one query, so everything
+    that depends only on the query is built once here: a map from every
+    grid bin to the query bins that approximately match it (Definition
+    5), the bin itself listed first.
+
+    :meth:`capacity` then solves one candidate in two steps:
+
+    1. a greedy feasible flow — each candidate bin sends its mass to the
+       matching query bins with capacity left, same bin first;
+    2. BFS augmenting paths on the residual graph (forward edges between
+       matching bins are uncapped, reverse edges carry the flow sent so
+       far) until none is left.
+
+    With no augmenting path left the flow is maximum, and the max-flow
+    value is unique, so ``M`` does not depend on the greedy order.  One
+    algorithm serves 1-D, 2-D and 3-D bins.
     """
-    bins = sorted(set(surplus) | set(deficit))
-    carry_surplus = 0  # unmatched surplus from the previous bin
-    carry_deficit = 0  # unmatched deficit from the previous bin
-    previous = None
-    total = 0
-    for bin_index in bins:
-        position = bin_index[0]
-        if previous is not None and position - previous > 1:
-            carry_surplus = 0
-            carry_deficit = 0
-        available_surplus = surplus.get(bin_index, 0)
-        available_deficit = deficit.get(bin_index, 0)
-        # Expiring carries first: they cannot reach the next bin.
-        matched = min(carry_surplus, available_deficit)
-        total += matched
-        carry_surplus -= matched
-        available_deficit -= matched
-        matched = min(carry_deficit, available_surplus)
-        total += matched
-        carry_deficit -= matched
-        available_surplus -= matched
-        # Same-bin matching never hurts (swappable in any optimum).
-        matched = min(available_surplus, available_deficit)
-        total += matched
-        carry_surplus = available_surplus - matched
-        carry_deficit = available_deficit - matched
-        previous = position
-    return total
 
+    __slots__ = ("total", "_capacities", "_targets")
 
-def _max_cancellation(
-    surplus: Dict[BinIndex, int], deficit: Dict[BinIndex, int]
-) -> int:
-    """Maximum total units cancellable between approximately-matching bins.
+    def __init__(self, query: TrajectoryHistogram) -> None:
+        self._capacities = list(query.values())
+        self.total = sum(self._capacities)
+        targets: Dict[BinIndex, List[int]] = {}
+        for slot, bin_index in enumerate(query):
+            for neighbor in _approximate_neighbors(bin_index):
+                targets.setdefault(neighbor, []).append(slot)
+        for slot, bin_index in enumerate(query):
+            listed = targets[bin_index]
+            listed.remove(slot)
+            listed.insert(0, slot)
+        self._targets = {key: tuple(slots) for key, slots in targets.items()}
 
-    A bipartite max-flow: source -> each surplus bin (capacity = surplus),
-    each deficit bin -> sink (capacity = deficit), and an uncapped edge
-    between every surplus bin and each deficit bin it approximately
-    matches.  One-dimensional bins take an O(bins) exact greedy instead;
-    higher dimensions run Dinic's algorithm on graphs of at most a few
-    hundred nodes.
-    """
-    if not surplus or not deficit:
-        return 0
-    if len(next(iter(surplus))) == 1:
-        return _max_cancellation_1d(surplus, deficit)
-    if not any(
-        neighbor in deficit
-        for bin_index in surplus
-        for neighbor in _approximate_neighbors(bin_index)
-    ):
-        return 0
-    source = 0
-    sink = 1
-    node_of: Dict[Tuple[str, BinIndex], int] = {}
-    for bin_index in surplus:
-        node_of[("s", bin_index)] = len(node_of) + 2
-    for bin_index in deficit:
-        node_of[("d", bin_index)] = len(node_of) + 2
-    node_count = len(node_of) + 2
+    def capacity(self, candidate: TrajectoryHistogram) -> int:
+        """``M``: the maximum matchable mass between query and ``candidate``."""
+        targets_of = self._targets
+        remaining = self._capacities[:]
+        # into[query slot] = {candidate position: units sent}; a position
+        # numbers the candidate bins that match any query bin.
+        into: Dict[int, Dict[int, int]] = {}
+        sources: List[Tuple[int, ...]] = []
+        excess: Dict[int, int] = {}
+        matched = 0
 
-    # Adjacency as edge lists: to[], cap[], head per node (Dinic).
-    graph: List[List[int]] = [[] for _ in range(node_count)]
-    to: List[int] = []
-    cap: List[int] = []
+        # Step 1: greedy feasible flow, same bin first.
+        for bin_index, amount in candidate.items():
+            targets = targets_of.get(bin_index)
+            if targets is None:
+                continue
+            position = len(sources)
+            sources.append(targets)
+            left = amount
+            for slot in targets:
+                free = remaining[slot]
+                if not free:
+                    continue
+                sent = free if free < left else left
+                remaining[slot] = free - sent
+                senders = into.get(slot)
+                if senders is None:
+                    into[slot] = {position: sent}
+                else:
+                    senders[position] = sent
+                left -= sent
+                if not left:
+                    break
+            matched += amount - left
+            if left:
+                excess[position] = left
 
-    def add_edge(u: int, v: int, capacity: int) -> None:
-        graph[u].append(len(to))
-        to.append(v)
-        cap.append(capacity)
-        graph[v].append(len(to))
-        to.append(u)
-        cap.append(0)
-
-    infinite = sum(surplus.values()) + 1
-    for bin_index, amount in surplus.items():
-        add_edge(source, node_of[("s", bin_index)], amount)
-    for bin_index, amount in deficit.items():
-        add_edge(node_of[("d", bin_index)], sink, amount)
-    for bin_index in surplus:
-        for neighbor in _approximate_neighbors(bin_index):
-            if neighbor in deficit:
-                add_edge(node_of[("s", bin_index)], node_of[("d", neighbor)], infinite)
-
-    flow = 0
-    while True:
-        # BFS level graph.
-        level = [-1] * node_count
-        level[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for edge in graph[u]:
-                v = to[edge]
-                if cap[edge] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        if level[sink] < 0:
-            return flow
-        # DFS blocking flow with an iteration pointer per node.
-        pointer = [0] * node_count
-
-        def augment(u: int, pushed: int) -> int:
-            if u == sink:
-                return pushed
-            while pointer[u] < len(graph[u]):
-                edge = graph[u][pointer[u]]
-                v = to[edge]
-                if cap[edge] > 0 and level[v] == level[u] + 1:
-                    found = augment(v, min(pushed, cap[edge]))
-                    if found > 0:
-                        cap[edge] -= found
-                        cap[edge ^ 1] += found
-                        return found
-                pointer[u] += 1
-            return 0
-
-        while True:
-            pushed = augment(source, infinite)
-            if pushed == 0:
+        # Step 2: BFS augmenting paths from every candidate bin with
+        # unsent mass to any query bin with capacity left.
+        while excess and matched < self.total:
+            reached_slot: Dict[int, int] = {}  # query slot -> position
+            reached_position = dict.fromkeys(excess, -1)  # -> via slot
+            frontier = list(excess)
+            end = -1
+            while frontier and end < 0:
+                grown = []
+                for position in frontier:
+                    for slot in sources[position]:
+                        if slot in reached_slot:
+                            continue
+                        reached_slot[slot] = position
+                        if remaining[slot]:
+                            end = slot
+                            break
+                        for sender, units in into.get(slot, {}).items():
+                            if units and sender not in reached_position:
+                                reached_position[sender] = slot
+                                grown.append(sender)
+                    if end >= 0:
+                        break
+                frontier = grown
+            if end < 0:
                 break
-            flow += pushed
+            # Bottleneck: the query capacity, every reverse edge walked
+            # back, and the unsent mass of the path's source.
+            pushed = remaining[end]
+            slot = end
+            while True:
+                position = reached_slot[slot]
+                back = reached_position[position]
+                if back < 0:
+                    pushed = min(pushed, excess[position])
+                    break
+                pushed = min(pushed, into[back][position])
+                slot = back
+            remaining[end] -= pushed
+            slot = end
+            while True:
+                position = reached_slot[slot]
+                senders = into.setdefault(slot, {})
+                senders[position] = senders.get(position, 0) + pushed
+                back = reached_position[position]
+                if back < 0:
+                    excess[position] -= pushed
+                    if not excess[position]:
+                        del excess[position]
+                    break
+                into[back][position] -= pushed
+                slot = back
+            matched += pushed
+        return matched
+
+    def distance(self, candidate: TrajectoryHistogram) -> int:
+        """HD against ``candidate``: ``max(m, n) - M`` (see :func:`histogram_distance`)."""
+        return max(self.total, sum(candidate.values())) - self.capacity(candidate)
 
 
 def histogram_distance(
@@ -267,7 +274,8 @@ def histogram_distance(
 
     Computed as ``max(m, n) - M`` where ``M`` is the maximum number of
     one-to-one element pairings between the two histograms along
-    approximately-matching bins (Definition 5), found by max-flow.
+    approximately-matching bins (Definition 5), a max-flow solved by
+    :class:`HistogramMatcher`.
     Soundness (Theorem 6): the free matches of an optimal EDR script are
     element pairs within ε, which always lie in approximately-matching
     bins, so they form one feasible pairing — hence ``p <= M`` and
@@ -283,12 +291,7 @@ def histogram_distance(
     can exceed the true EDR — the flow form computed here never does,
     and the property-based test suite verifies it.
     """
-    total_first = sum(first.values())
-    total_second = sum(second.values())
-    if not first or not second:
-        return max(total_first, total_second)
-    matchable = _max_cancellation(dict(first), dict(second))
-    return max(total_first, total_second) - matchable
+    return HistogramMatcher(first).distance(second)
 
 
 def histogram_match_capacity(
@@ -303,7 +306,7 @@ def histogram_match_capacity(
     bounds ``LCSS(R, S)``, which is how the paper's pruning framework
     transfers to LCSS (Section 4, "can also be applied to LCSS").
     """
-    return _max_cancellation(dict(first), dict(second))
+    return HistogramMatcher(first).capacity(second)
 
 
 def comphisdist_paper(

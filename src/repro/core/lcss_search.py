@@ -10,9 +10,9 @@ k candidates with the **largest** LCSS score, and pruning needs sound
 
 * **Histogram bound** — every ε-matching element pair lies in the same
   or adjacent histogram bins, so the maximum flow between the two full
-  histograms along approximately-matching bins
-  (:func:`repro.core.histogram.histogram_match_capacity`) upper-bounds
-  the number of matchable pairs, hence LCSS.
+  histograms along approximately-matching bins (one per-query
+  :class:`repro.core.histogram.HistogramMatcher`) upper-bounds the
+  number of matchable pairs, hence LCSS.
 * **Q-gram bound** — Theorem 1 lower-bounds EDR from the common Q-gram
   count: ``EDR >= (max(m,n) - q + 1 - common) / q``; combined with the
   coupling ``EDR <= m + n - 2*LCSS`` (delete the unmatched elements of
@@ -39,7 +39,7 @@ from ..index.mergejoin import (
     sort_means_2d,
 )
 from .database import TrajectoryDatabase
-from .histogram import histogram_match_capacity
+from .histogram import HistogramMatcher
 from .qgram import mean_value_qgrams
 from .search import SearchStats
 from .trajectory import Trajectory
@@ -80,7 +80,7 @@ class LcssHistogramBound(LcssUpperBound):
         self._database = database
         self.name = f"lcss-histogram(delta={delta:g})"
         self._space, self._histograms = database.histograms(delta=delta)
-        self._query_histogram = None
+        self._matcher = None
 
     def for_query(self, query: Trajectory) -> "LcssHistogramBound":
         bound = LcssHistogramBound.__new__(LcssHistogramBound)
@@ -88,15 +88,11 @@ class LcssHistogramBound(LcssUpperBound):
         bound.name = self.name
         bound._space = self._space
         bound._histograms = self._histograms
-        bound._query_histogram = self._space.histogram(query)
+        bound._matcher = HistogramMatcher(self._space.histogram(query))
         return bound
 
     def upper_bound(self, candidate_index: int) -> float:
-        return float(
-            histogram_match_capacity(
-                self._query_histogram, self._histograms[candidate_index]
-            )
-        )
+        return float(self._matcher.capacity(self._histograms[candidate_index]))
 
 
 class LcssQgramBound(LcssUpperBound):

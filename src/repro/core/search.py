@@ -41,7 +41,7 @@ from .edr import edr
 from .edr_batch import DEFAULT_REFINE_BATCH_SIZE
 from .edr_bitparallel import edr_bitparallel
 from .histogram import (
-    histogram_distance,
+    HistogramMatcher,
     histogram_distance_quick,
     histogram_window_bound,
 )
@@ -232,11 +232,12 @@ class QueryPruner:
         quick bound fails to prune.
     ``exact_stage_cheap``
         Cost class of :meth:`exact_lower_bound` relative to one batched
-        EDR verification.  False marks exact stages that can cost more
-        than the refinement they try to avoid (the 2-D histogram bound
-        runs a Python max-flow); cost-aware engines may then skip the
-        exact stage and verify directly — a pure scheduling choice that
-        never changes answers, only which stage pays for the candidate.
+        EDR verification.  False marks exact stages that did not pay for
+        themselves when measured in a cost-aware schedule (the d-D
+        histogram bound in the sharded engine); such engines may then
+        skip the exact stage and verify directly — a pure scheduling
+        choice that never changes answers, only which stage pays for the
+        candidate.
     """
 
     name: str = "base"
@@ -358,8 +359,10 @@ class _HistogramQuery(QueryPruner):
         self._database = database_histograms
         self._stores = array_stores
         self.database_size = len(database_histograms[0])
-        # 1-D bins take the exact greedy; d-D bins run the Python
-        # max-flow, which can cost more than one batched EDR row.
+        # One matcher per projection, built on the first exact call.
+        self._matchers: Optional[List[HistogramMatcher]] = None
+        # The sharded schedule skips d-D exact bounds: measured there,
+        # running them did not pay for itself (docs/SHARDING.md).
         self.exact_stage_cheap = all(
             len(next(iter(histogram), (0,))) == 1
             for histogram in query_histograms
@@ -390,10 +393,15 @@ class _HistogramQuery(QueryPruner):
         )
 
     def exact_lower_bound(self, candidate_index: int) -> float:
+        matchers = self._matchers
+        if matchers is None:
+            matchers = self._matchers = [
+                HistogramMatcher(query_histogram) for query_histogram in self._query
+            ]
         return float(
             max(
-                histogram_distance(query_histogram, per_axis[candidate_index])
-                for query_histogram, per_axis in zip(self._query, self._database)
+                matcher.distance(per_axis[candidate_index])
+                for matcher, per_axis in zip(matchers, self._database)
             )
         )
 

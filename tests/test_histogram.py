@@ -6,6 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import HistogramSpace, Trajectory, edr, histogram_distance
+from repro.core.histogram import HistogramMatcher
+
+from .oracles import (
+    flow_histogram_distance,
+    flow_match_capacity,
+    greedy_match_capacity_1d,
+)
 
 
 def trajectory_strategy(max_length=12, ndim=2, min_size=1):
@@ -175,7 +182,7 @@ class TestTheorem6LowerBound:
 
 
 class TestOneDimensionalFastPath:
-    """The greedy 1-D cancellation must equal the general max-flow."""
+    """On 1-D bins the matcher, the greedy oracle and the flow oracle agree."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -187,26 +194,96 @@ class TestOneDimensionalFastPath:
         ),
     )
     def test_greedy_equals_flow(self, surplus_raw, deficit_raw):
-        from repro.core.histogram import _max_cancellation, _max_cancellation_1d
-
         surplus = {(k,): v for k, v in surplus_raw.items()}
         deficit = {(k,): v for k, v in deficit_raw.items()}
-        # Force the general flow path by lifting to 2-D bins on a line.
+        # The flow oracle on the same bins lifted to 2-D on a line.
         surplus_2d = {(k, 0): v for (k,), v in surplus.items()}
         deficit_2d = {(k, 0): v for (k,), v in deficit.items()}
-        assert _max_cancellation_1d(surplus, deficit) == _max_cancellation(
-            surplus_2d, deficit_2d
-        )
+        greedy = greedy_match_capacity_1d(surplus, deficit)
+        assert greedy == flow_match_capacity(surplus_2d, deficit_2d)
+        assert HistogramMatcher(deficit).capacity(surplus) == greedy
 
     def test_chain_is_fully_matched(self):
-        from repro.core.histogram import _max_cancellation_1d
-
-        assert _max_cancellation_1d({(0,): 1, (1,): 1}, {(1,): 1, (2,): 1}) == 2
+        surplus, deficit = {(0,): 1, (1,): 1}, {(1,): 1, (2,): 1}
+        assert greedy_match_capacity_1d(surplus, deficit) == 2
+        assert HistogramMatcher(deficit).capacity(surplus) == 2
+        assert HistogramMatcher(surplus).capacity(deficit) == 2
 
     def test_gap_blocks_matching(self):
-        from repro.core.histogram import _max_cancellation_1d
+        assert greedy_match_capacity_1d({(0,): 3}, {(5,): 3}) == 0
+        assert HistogramMatcher({(5,): 3}).capacity({(0,): 3}) == 0
 
-        assert _max_cancellation_1d({(0,): 3}, {(5,): 3}) == 0
+
+def histogram_strategy(ndim, max_count=5, max_size=10):
+    """Sparse histograms over a small grid with negative bin indices."""
+    key = st.tuples(*[st.integers(-4, 4) for _ in range(ndim)])
+    return st.dictionaries(key, st.integers(1, max_count), max_size=max_size)
+
+
+class TestHistogramMatcher:
+    """The per-query matcher equals the Dinic oracle, bit for bit."""
+
+    @pytest.mark.parametrize("ndim", (1, 2, 3))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_flow_oracle(self, ndim, data):
+        query = data.draw(histogram_strategy(ndim))
+        candidates = data.draw(
+            st.lists(histogram_strategy(ndim), min_size=1, max_size=4)
+        )
+        # One matcher serves every candidate: no state leaks between calls.
+        matcher = HistogramMatcher(query)
+        for candidate in candidates:
+            expected = flow_match_capacity(candidate, query)
+            assert matcher.capacity(candidate) == expected
+            assert matcher.distance(candidate) == flow_histogram_distance(
+                query, candidate
+            )
+            assert histogram_distance(candidate, query) == histogram_distance(
+                query, candidate
+            )
+            if ndim == 1:
+                assert expected == greedy_match_capacity_1d(candidate, query)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        histogram_strategy(2, max_count=10**6),
+        histogram_strategy(2, max_count=10**6),
+    )
+    def test_large_counts(self, first, second):
+        assert HistogramMatcher(first).capacity(second) == flow_match_capacity(
+            first, second
+        )
+
+    def test_empty_histograms(self):
+        assert HistogramMatcher({}).capacity({(0, 0): 3}) == 0
+        assert HistogramMatcher({(0, 0): 3}).capacity({}) == 0
+        assert HistogramMatcher({}).distance({(0, 0): 3}) == 3
+        assert HistogramMatcher({(0, 0): 3}).distance({}) == 3
+        assert histogram_distance({}, {}) == 0
+
+    def test_disjoint_histograms(self):
+        matcher = HistogramMatcher({(0, 0): 2, (0, 1): 1})
+        assert matcher.capacity({(5, 5): 4}) == 0
+        assert matcher.distance({(5, 5): 4}) == 4
+
+    def test_greedy_is_repaired_by_augmenting_paths(self):
+        # Same-bin-first sends the candidate's (1,) unit to the query's
+        # (1,); only rerouting it to (2,) frees (1,) for the (0,) unit.
+        query = {(1,): 1, (2,): 1}
+        candidate = {(1,): 1, (0,): 1}
+        assert HistogramMatcher(query).capacity(candidate) == 2
+        assert flow_match_capacity(candidate, query) == 2
+
+    def test_chained_match_case(self):
+        """TestPaperCompHisDist's R = [0.9, 1.9], S = [1.1, 2.1] chain."""
+        space = HistogramSpace(origin=[0.0], bin_size=1.0)
+        h_r = space.histogram(np.array([[0.9], [1.9]]))
+        h_s = space.histogram(np.array([[1.1], [2.1]]))
+        assert HistogramMatcher(h_r).capacity(h_s) == 2
+        assert HistogramMatcher(h_s).capacity(h_r) == 2
+        assert flow_match_capacity(h_r, h_s) == 2
+        assert HistogramMatcher(h_r).distance(h_s) == 0
 
 
 class TestPaperCompHisDist:
