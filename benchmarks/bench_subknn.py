@@ -17,6 +17,13 @@ the whole corpus would dwarf the timed work) the engine's
 ``(index, start, end, distance)`` answers must equal the brute-force
 enumerate-every-window oracle byte for byte, or the benchmark aborts.
 
+A ``window_kernel`` row then times the window DP alone: the float row-DP
+oracle (``tests/oracles.py``) against the bit-parallel
+:func:`repro.edr_windows_many` on the unpruned enumeration's batches,
+all five outputs asserted equal, reported in DP cells per second.  The
+pruned-vs-unpruned ``speedup`` rows run the same kernel on both sides,
+so they measure pruning alone.
+
 Run it directly (it is a script, not a pytest module)::
 
     PYTHONPATH=src python benchmarks/bench_subknn.py
@@ -31,16 +38,25 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
 from repro import Trajectory, TrajectoryDatabase, edr, subknn_search
-from repro.core.subtrajectory import resolve_window_range
+from repro.core.edr_batch import DEFAULT_REFINE_BATCH_SIZE, iter_length_buckets
+from repro.core.subtrajectory import (
+    edr_windows_many,
+    resolve_window_range,
+    window_dp_cells,
+)
 from repro.service.pruning import build_pruners
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT))  # the row-DP window oracle lives in tests/
+
+from tests.oracles import rowdp_windows_many  # noqa: E402
 SPEC = "histogram,qgram"
 N_ROUTES = 24
 ALPHA = 0.25
@@ -124,6 +140,49 @@ def brute_windows(database, query, k):
         (index, start, end, distance)
         for distance, index, start, end in ranked[:k]
     ]
+
+
+def bench_window_kernel(database, queries, repeats: int) -> dict:
+    """Row-DP oracle vs bit-parallel window kernel on the same batches.
+
+    The batches are the unpruned enumeration's: every trajectory, in
+    length-sorted buckets of the engine's round size, no bound.  All five
+    kernel outputs are asserted equal before anything is reported.
+    """
+    lengths = np.asarray(database.lengths, dtype=np.int64)
+    batches = [
+        [database.trajectories[int(index)] for index in bucket]
+        for bucket in iter_length_buckets(lengths, DEFAULT_REFINE_BATCH_SIZE)
+    ]
+    bands = [resolve_window_range(len(query), ALPHA) for query in queries]
+
+    def run(kernel):
+        return [
+            kernel(query, batch, database.epsilon, lo, hi)
+            for query, (lo, hi) in zip(queries, bands)
+            for batch in batches
+        ]
+
+    for mine, oracle in zip(run(edr_windows_many), run(rowdp_windows_many)):
+        for got, want in zip(mine, oracle):
+            assert got.dtype == want.dtype and np.array_equal(got, want), (
+                "window kernel diverged from the row-DP oracle"
+            )
+    rowdp_seconds = best_of(repeats, lambda: run(rowdp_windows_many))
+    bitparallel_seconds = best_of(repeats, lambda: run(edr_windows_many))
+    cells = sum(
+        len(query) * int(window_dp_cells(lengths, lo, hi).sum())
+        for query, (lo, hi) in zip(queries, bands)
+    )
+    return {
+        "batches": len(batches) * len(queries),
+        "cells": cells,
+        "rowdp_seconds": rowdp_seconds,
+        "bitparallel_seconds": bitparallel_seconds,
+        "rowdp_cells_per_s": cells / rowdp_seconds,
+        "bitparallel_cells_per_s": cells / bitparallel_seconds,
+        "speedup": rowdp_seconds / bitparallel_seconds,
+    }
 
 
 def main() -> int:
@@ -250,6 +309,16 @@ def main() -> int:
         print(line)
         table_lines.append(line)
 
+    kernel = bench_window_kernel(database, queries, args.repeats)
+    line = (
+        f"window kernel ({kernel['cells'] / 1e6:.1f}M cells): row DP "
+        f"{kernel['rowdp_cells_per_s'] / 1e6:.0f}M cells/s, bit-parallel "
+        f"{kernel['bitparallel_cells_per_s'] / 1e6:.0f}M cells/s "
+        f"({kernel['speedup']:.2f}x, outputs equal)"
+    )
+    print(line)
+    table_lines.append(line)
+
     payload = {
         "dataset": {
             "trajectories": args.count,
@@ -266,6 +335,7 @@ def main() -> int:
         "oracle_trajectories": args.oracle_count,
         "baseline_per_query_seconds": per_query_baseline,
         "configurations": rows,
+        "window_kernel": kernel,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nwrote {args.out}")

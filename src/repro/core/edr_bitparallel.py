@@ -26,7 +26,10 @@ of word ``j // 64`` (little-endian bit order, matching ``np.packbits``
 with ``bitorder="little"``).  Horizontal carries (±1) propagate through
 the block chain per update, with Hyyrö's ``Eq |= 1`` correction on a
 negative carry-in.  The boundary row ``D[0, i] = i`` is encoded by
-feeding a ``+1`` carry into block 0 on every step.
+feeding a ``+1`` carry into block 0 on every step.  That word update is
+:func:`advance_blocks`, shared with the subtrajectory window kernel
+(:func:`~repro.core.subtrajectory.edr_windows_many`), which lays the
+*query* along the bits and walks each window start's text instead.
 
 :func:`edr_many_bitparallel` vectorizes the word recurrence across a
 candidate axis: the per-block state is a ``(candidates, W)`` ``uint64``
@@ -59,7 +62,7 @@ and no engine refine path uses one.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -194,6 +197,54 @@ def _pack_eq_chunk(
     return packed.view(np.uint64).reshape(rows, count, -1)
 
 
+def advance_blocks(
+    vp_blocks: List[np.ndarray],
+    vn_blocks: List[np.ndarray],
+    eq_blocks: Sequence[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One Myers/Hyyrö DP step over a chain of 64-bit blocks, all lanes at once.
+
+    ``vp_blocks`` / ``vn_blocks`` hold one ``uint64`` vector per block
+    (the vertical +1 / -1 delta words along the bit axis, one entry per
+    lane) and are replaced in place by their values after the step;
+    ``eq_blocks[b]`` is the ε-match word of block ``b`` for the element
+    the step consumes.  The boundary ``D[0, ·]`` grows by one per step,
+    so block 0 takes a ``+1`` horizontal carry-in; later blocks chain
+    the previous block's carry-out, with Hyyrö's ``Eq |= 1`` fixup on a
+    negative carry.
+
+    Returns the last block's horizontal delta words *before* the shift:
+    bit ``k`` of ``hp`` (``hn``) is set iff the DP cell at bit position
+    ``k`` of that block (index ``64 * block + k + 1`` along the bit
+    axis) rose (fell) by one in this step — how a caller that needs the
+    last bit-axis cell's score per step reads it off.
+    """
+    hp_in = _ONE
+    hn_in = _ZERO
+    last = len(vp_blocks) - 1
+    for block in range(last + 1):
+        vp_block = vp_blocks[block]
+        vn_block = vn_blocks[block]
+        eq_block = eq_blocks[block]
+        xv = eq_block | vn_block
+        if block:  # Hyyrö's negative-carry fixup (block 0 carry is +1)
+            eq_block = eq_block | hn_in
+        xh = (((eq_block & vp_block) + vp_block) ^ vp_block) | eq_block
+        hp = vn_block | ~(xh | vp_block)
+        hn = vp_block & xh
+        shifted_hp = hp << _ONE
+        shifted_hp |= hp_in
+        shifted_hn = hn << _ONE
+        if block:
+            shifted_hn |= hn_in
+        vp_blocks[block] = shifted_hn | ~(xv | shifted_hp)
+        vn_blocks[block] = shifted_hp & xv
+        if block != last:
+            hp_in = hp >> _SHIFT_MSB
+            hn_in = hn >> _SHIFT_MSB
+    return hp, hn
+
+
 def edr_many_bitparallel(
     query: TrajectoryLike,
     candidates: Sequence[TrajectoryLike],
@@ -285,33 +336,8 @@ def edr_many_bitparallel(
         eq_row = eq_chunk[row - chunk_base]
 
         # The boundary row D[0, i] = i feeds a +1 horizontal carry into
-        # block 0; later blocks chain the previous block's carry-out.
-        hp_in = _ONE
-        hn_in = _ZERO
-        last = words - 1
-        for block in range(words):
-            vp_block = vp_blocks[block]
-            vn_block = vn_blocks[block]
-            eq_block = eq_row[:, block]
-            xv = eq_block | vn_block
-            if block:  # Hyyrö's negative-carry fixup (block 0 carry is +1)
-                eq_block = eq_block | hn_in
-            xh = (((eq_block & vp_block) + vp_block) ^ vp_block) | eq_block
-            hp = vn_block | ~(xh | vp_block)
-            hn = vp_block & xh
-            if block != last:
-                hp_out = hp >> _SHIFT_MSB
-                hn_out = hn >> _SHIFT_MSB
-            hp = hp << _ONE
-            hp |= hp_in
-            hn = hn << _ONE
-            if block:
-                hn |= hn_in
-            vp_blocks[block] = hn | ~(xv | hp)
-            vn_blocks[block] = hp & xv
-            if block != last:
-                hp_in = hp_out
-                hn_in = hn_out
+        # block 0 (see advance_blocks); columns are the candidate axis.
+        advance_blocks(vp_blocks, vn_blocks, eq_row.T)
 
         if use_bounds and (i == m or i % _BOUND_CHECK_STRIDE == 0):
             # Exact masked row minimum: i + min(0, min_j prefix_j) over

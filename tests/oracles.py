@@ -15,6 +15,9 @@ The histogram matching oracles (:func:`flow_match_capacity`,
 the reference the per-query :class:`repro.core.histogram.HistogramMatcher`
 is accepted against: a Dinic max-flow rebuilt per pair, and the
 left-to-right greedy that is exact on one-dimensional bins.
+:func:`rowdp_windows_many` is the float64 row DP the bit-parallel
+window kernel (:func:`repro.edr_windows_many`) is accepted against,
+all five outputs byte for byte.
 
 ``answers``/``window_answers`` flatten engine results into comparable
 tuples; ``payload_answers``/``payload_windows`` produce the JSON shapes
@@ -27,10 +30,14 @@ trajectory's best window resolves ties on ``(distance, start, end)``.
 from collections import deque
 from itertools import product
 
+import numpy as np
+
 from repro import Trajectory, edr
+from repro.core.edr import _points
 from repro.core.subtrajectory import (
     DEFAULT_WINDOW_ALPHA,
     resolve_window_range,
+    window_counts,
 )
 
 __all__ = [
@@ -44,6 +51,7 @@ __all__ = [
     "flow_histogram_distance",
     "flow_match_capacity",
     "greedy_match_capacity_1d",
+    "rowdp_windows_many",
 ]
 
 
@@ -284,3 +292,200 @@ def flow_histogram_distance(first, second):
     """HD by the flow oracle: ``max(m, n) - M``."""
     total = max(sum(first.values()), sum(second.values()))
     return total - flow_match_capacity(first, second)
+
+
+# ----------------------------------------------------------------------
+# Window DP reference (subtrajectory search)
+# ----------------------------------------------------------------------
+def rowdp_windows_many(
+    query,
+    candidates,
+    epsilon,
+    lo,
+    hi,
+    bounds=None,
+):
+    """Reference window kernel: the float64 row DP over (candidate, start) rows.
+
+    Same signature and outputs as :func:`repro.edr_windows_many`, which
+    is accepted against it byte for byte.  Rows of the batch are
+    *(candidate, start)* pairs holding the suffix
+    ``candidate[s : s + min(hi_e, n - s)]`` padded with +inf points;
+    after the ``m``-th query element, DP column ``j`` of a row is
+    exactly ``EDR(query, candidate[s : s + j])``.  A row whose masked
+    row minimum exceeds its bound has every window at that start
+    counted abandoned, and the batch compacts.
+    """
+    if epsilon < 0.0:
+        raise ValueError("matching threshold epsilon must be non-negative")
+    if lo < 1:
+        raise ValueError("minimum window length must be at least 1")
+    if hi < lo:
+        raise ValueError("maximum window length must not undercut the minimum")
+    query_points = _points(query)
+    m = len(query_points)
+    count = len(candidates)
+    distances = np.full(count, np.inf, dtype=np.float64)
+    starts = np.zeros(count, dtype=np.int64)
+    ends = np.zeros(count, dtype=np.int64)
+    evaluated = np.zeros(count, dtype=np.int64)
+    abandoned = np.zeros(count, dtype=np.int64)
+    if count == 0:
+        return distances, starts, ends, evaluated, abandoned
+    points = [_points(candidate) for candidate in candidates]
+
+    bounds_array = None
+    if bounds is not None:
+        bounds_array = np.ascontiguousarray(
+            np.broadcast_to(np.asarray(bounds, dtype=np.float64), (count,))
+        )
+
+    # Row bookkeeping: one row per (candidate, start) pair, grouped by
+    # candidate with starts ascending — the order the tie-break relies on.
+    row_candidate = []
+    row_start = []
+    row_length = []
+    row_low = []
+    totals = np.zeros(count, dtype=np.int64)
+    for position, candidate_points in enumerate(points):
+        n = len(candidate_points)
+        if n == 0:
+            # The empty trajectory offers only its empty window: every
+            # query element must be deleted.  Always evaluated — there
+            # is no DP to abandon.
+            distances[position] = float(m)
+            evaluated[position] = 1
+            totals[position] = 1
+            continue
+        if m > 0 and candidate_points.shape[1] != query_points.shape[1]:
+            raise ValueError("trajectories must have the same spatial arity")
+        lo_e, hi_e = min(lo, n), min(hi, n)
+        totals[position] = int(window_counts([n], lo, hi)[0])
+        for start in range(0, n - lo_e + 1):
+            row_candidate.append(position)
+            row_start.append(start)
+            row_length.append(min(hi_e, n - start))
+            row_low.append(lo_e)
+    if not row_candidate:
+        return distances, starts, ends, evaluated, abandoned
+
+    row_candidate_array = np.array(row_candidate, dtype=np.int64)
+    row_start_array = np.array(row_start, dtype=np.int64)
+    row_length_array = np.array(row_length, dtype=np.int64)
+    row_low_array = np.array(row_low, dtype=np.int64)
+    rows = row_candidate_array.size
+    width = int(row_length_array.max())
+    dims = query_points.shape[1] if m > 0 else (
+        points[int(row_candidate_array[0])].shape[1]
+    )
+
+    padded = np.full((rows, width, dims), np.inf, dtype=np.float64)
+    row = 0
+    for position, candidate_points in enumerate(points):
+        n = len(candidate_points)
+        if n == 0:
+            continue
+        lo_e, hi_e = min(lo, n), min(hi, n)
+        full = n - hi_e + 1
+        # Full-band rows share length hi_e: one strided view fills them
+        # all; the at-most (hi_e - lo_e) tail rows shrink one by one.
+        windows_view = np.lib.stride_tricks.sliding_window_view(
+            candidate_points, hi_e, axis=0
+        )
+        padded[row : row + full, :hi_e] = windows_view.transpose(0, 2, 1)
+        row += full
+        for start in range(full, n - lo_e + 1):
+            padded[row, : n - start] = candidate_points[start:]
+            row += 1
+    assert row == rows
+
+    # From here the DP mirrors edr_many with rows in place of candidates:
+    # same float64 operations, same masked-row-minimum abandonment, same
+    # active-set compaction — plus a final per-end extraction.
+    active = np.arange(rows, dtype=np.int64)
+    active_lengths = row_length_array.copy()
+    active_low = row_low_array.copy()
+    indices = np.arange(width + 1, dtype=np.float64)
+    column_numbers = np.arange(width + 1, dtype=np.int64)
+    previous = np.tile(indices, (rows, 1))
+    use_bounds = bounds_array is not None
+    active_bounds = bounds_array[row_candidate_array] if use_bounds else None
+
+    for i in range(1, m + 1):
+        element = query_points[i - 1]
+        matches = np.abs(padded[:, :, 0] - element[0]) <= epsilon
+        for axis in range(1, dims):
+            if not matches.any():
+                break
+            matches &= np.abs(padded[:, :, axis] - element[axis]) <= epsilon
+        subcost = np.where(matches, 0.0, 1.0)
+
+        tentative = np.empty((active.size, width + 1), dtype=np.float64)
+        tentative[:, 0] = float(i)
+        np.minimum(
+            previous[:, 1:] + 1.0,
+            previous[:, :-1] + subcost,
+            out=tentative[:, 1:],
+        )
+        if use_bounds:
+            # Masked row minimum over real columns: every DP path to any
+            # final column crosses this row with non-negative step costs,
+            # so row-min > bound kills every window at this start.  The
+            # pre-propagation test is exact for the same prefix argument
+            # as edr_many's.
+            masked = np.where(
+                column_numbers[None, :] <= active_lengths[:, None],
+                tentative,
+                np.inf,
+            )
+            alive = masked.min(axis=1) <= active_bounds
+            if not alive.all():
+                dead = ~alive
+                np.add.at(
+                    abandoned,
+                    row_candidate_array[active[dead]],
+                    active_lengths[dead] - active_low[dead] + 1,
+                )
+                if not alive.any():
+                    # Every row is dead: each non-empty candidate's
+                    # abandoned count already equals its window total,
+                    # and empty candidates were priced up front.
+                    return distances, starts, ends, evaluated, abandoned
+                active = active[alive]
+                active_lengths = active_lengths[alive]
+                active_low = active_low[alive]
+                tentative = tentative[alive]
+                padded = padded[alive]
+                active_bounds = active_bounds[alive]
+                new_width = int(active_lengths.max())
+                if new_width < width:
+                    width = new_width
+                    tentative = np.ascontiguousarray(tentative[:, : width + 1])
+                    padded = np.ascontiguousarray(padded[:, :width])
+                    indices = indices[: width + 1]
+                    column_numbers = column_numbers[: width + 1]
+        previous = indices + np.minimum.accumulate(tentative - indices, axis=1)
+
+    # Extraction: valid ends for a row are columns lo_e..row_length; the
+    # masked argmin's first-occurrence rule picks the smallest end, and
+    # the ascending-start row order below keeps the smallest start.
+    valid = (column_numbers[None, :] >= active_low[:, None]) & (
+        column_numbers[None, :] <= active_lengths[:, None]
+    )
+    masked_final = np.where(valid, previous, np.inf)
+    row_best = masked_final.min(axis=1)
+    row_end = masked_final.argmin(axis=1)
+    for slot in range(active.size):
+        row_id = int(active[slot])
+        position = int(row_candidate_array[row_id])
+        value = float(row_best[slot])
+        if value < distances[position]:
+            distances[position] = value
+            starts[position] = int(row_start_array[row_id])
+            ends[position] = int(row_start_array[row_id] + row_end[slot])
+
+    non_empty = np.array(
+        [len(candidate_points) > 0 for candidate_points in points]
+    )
+    evaluated[non_empty] = totals[non_empty] - abandoned[non_empty]
+    return distances, starts, ends, evaluated, abandoned
