@@ -11,6 +11,11 @@ default):
   Dinic flow oracle rebuilt per candidate (``tests/oracles.py``) versus
   one per-query :class:`~repro.core.histogram.HistogramMatcher`, with
   every value asserted equal;
+* the *exact decision* on that same workload — "does the exact HD
+  exceed the k-th best EDR?" — through the matcher alone versus the
+  bulk flow ceiling (:meth:`HistogramArrayStore.bulk_flow_ceilings`)
+  settling what it can and the matcher the rest, with every decision
+  asserted equal and the share the ceiling settled reported;
 * a 4-query serving workload answered by four sequential
   :func:`repro.knn_search` calls versus one :func:`repro.knn_batch`
   call with 4 workers.
@@ -106,18 +111,27 @@ def bench_filter_phase(database, query, repeats: int) -> dict:
     return results
 
 
-def bench_exact_stage(database, queries, k: int, repeats: int) -> dict:
-    """Flow oracle vs per-query matcher on the exact-stage candidates."""
+def exact_stage_workload(database, queries, k: int):
+    """Per query: its histogram, k-th best EDR and quick-bound survivors."""
     pruner = HistogramPruner(database)
-    space, histograms = database.histograms()
+    space, _ = database.histograms()
     workload = []
     for query in queries:
         neighbors, _ = knn_search(database, query, k, [pruner])
+        threshold = neighbors[-1].distance
         quick = pruner.for_query(query).bulk_quick_lower_bounds()
-        survivors = np.nonzero(quick <= neighbors[-1].distance)[0]
-        workload.append(
-            (space.histogram(query), [histograms[i] for i in survivors])
-        )
+        survivors = np.nonzero(quick <= threshold)[0]
+        workload.append((space.histogram(query), threshold, survivors))
+    return workload
+
+
+def bench_exact_stage(database, workload, repeats: int) -> dict:
+    """Flow oracle vs per-query matcher on the exact-stage candidates."""
+    _, histograms = database.histograms()
+    workload = [
+        (query_histogram, [histograms[i] for i in survivors])
+        for query_histogram, _, survivors in workload
+    ]
 
     def flow():
         return [
@@ -138,7 +152,7 @@ def bench_exact_stage(database, queries, k: int, repeats: int) -> dict:
     assert flow() == matcher()
     calls = sum(len(candidates) for _, candidates in workload)
     return {
-        "queries": len(queries),
+        "queries": len(workload),
         "calls": calls,
         "flow_seconds": flow_seconds,
         "matcher_seconds": matcher_seconds,
@@ -146,6 +160,63 @@ def bench_exact_stage(database, queries, k: int, repeats: int) -> dict:
         "matcher_us_per_call": matcher_seconds / calls * 1e6 if calls else 0.0,
         "speedup": flow_seconds / matcher_seconds
         if matcher_seconds
+        else float("inf"),
+    }
+
+
+def bench_exact_decision(database, workload, repeats: int) -> dict:
+    """Matcher alone vs flow ceiling + matcher for the exact-stage decision.
+
+    The threshold is the query's final k-th best EDR, the tightest one
+    an engine ever checks against, so the share the ceiling settles here
+    is a floor of what it settles inside a scan.
+    """
+    store = database.histogram_arrays()
+    _, histograms = database.histograms()
+
+    def matcher_only():
+        decisions = []
+        for query_histogram, threshold, survivors in workload:
+            matcher = HistogramMatcher(query_histogram)
+            decisions.extend(
+                matcher.distance(histograms[i]) > threshold for i in survivors
+            )
+        return decisions
+
+    def with_ceiling():
+        decisions = []
+        for query_histogram, threshold, survivors in workload:
+            ceilings = store.bulk_flow_ceilings(query_histogram, survivors)
+            matcher = None
+            for index, ceiling in zip(survivors.tolist(), ceilings.tolist()):
+                if ceiling <= threshold:
+                    decisions.append(False)
+                    continue
+                if matcher is None:
+                    matcher = HistogramMatcher(query_histogram)
+                decisions.append(matcher.distance(histograms[index]) > threshold)
+        return decisions
+
+    matcher_seconds = best_of(repeats, matcher_only)
+    ceiling_seconds = best_of(repeats, with_ceiling)
+    # A benchmark that compares different decisions measures nothing.
+    assert with_ceiling() == matcher_only()
+    calls = sum(len(survivors) for _, _, survivors in workload)
+    settled = sum(
+        int(np.count_nonzero(
+            store.bulk_flow_ceilings(query_histogram, survivors) <= threshold
+        ))
+        for query_histogram, threshold, survivors in workload
+    )
+    return {
+        "queries": len(workload),
+        "decisions": calls,
+        "ceiling_settled": settled,
+        "ceiling_share": settled / calls if calls else 0.0,
+        "matcher_seconds": matcher_seconds,
+        "ceiling_seconds": ceiling_seconds,
+        "speedup": matcher_seconds / ceiling_seconds
+        if ceiling_seconds
         else float("inf"),
     }
 
@@ -209,7 +280,8 @@ def main() -> int:
             f"{row['bulk_seconds'] * 1e3:>8.1f}ms {row['speedup']:>8.1f}x"
         )
 
-    exact_results = bench_exact_stage(database, queries, args.k, args.repeats)
+    workload = exact_stage_workload(database, queries, args.k)
+    exact_results = bench_exact_stage(database, workload, args.repeats)
     exact_line = (
         f"exact stage ({exact_results['calls']} calls): "
         f"flow {exact_results['flow_us_per_call']:.1f}us/call, "
@@ -217,6 +289,15 @@ def main() -> int:
         f"({exact_results['speedup']:.1f}x)"
     )
     print(f"\n{exact_line}")
+    decision_results = bench_exact_decision(database, workload, args.repeats)
+    decision_line = (
+        f"exact decision ({decision_results['decisions']} checks, "
+        f"{decision_results['ceiling_share']:.1%} settled by the ceiling): "
+        f"matcher {decision_results['matcher_seconds'] * 1e3:.1f}ms, "
+        f"ceiling + matcher {decision_results['ceiling_seconds'] * 1e3:.1f}ms "
+        f"({decision_results['speedup']:.1f}x)"
+    )
+    print(decision_line)
 
     batch_results = bench_batch(
         database, queries, args.k, args.workers, args.repeats
@@ -238,6 +319,7 @@ def main() -> int:
         "filter_phase": filter_results,
         "filter_phase_overall_speedup": overall,
         "exact_stage": exact_results,
+        "exact_decision": decision_results,
         "batch": batch_results,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
@@ -256,6 +338,7 @@ def main() -> int:
         )
     lines.append("")
     lines.append(exact_line)
+    lines.append(decision_line)
     lines.append(
         f"{batch_results['queries']} queries, k={batch_results['k']}: "
         f"sequential knn_search "

@@ -422,6 +422,9 @@ def histogram_window_bound(
 # Above this many grid cells the dense (N, bins) count matrix switches to
 # a CSR representation (when scipy is present) to keep memory bounded.
 _DENSE_CELL_LIMIT = 8_000_000
+# Working-set cap of one flow-ceiling chunk: (neighbourhood columns x
+# rows) int64 cells, about 2 MB.
+_CEILING_CELLS = 1 << 18
 
 
 class HistogramArrayStore:
@@ -644,3 +647,88 @@ class HistogramArrayStore:
             axis=1
         )
         return np.maximum(0, query_total - upper_query)
+
+    def bulk_flow_ceilings(
+        self,
+        query_histogram: TrajectoryHistogram,
+        rows: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """An upper bound of the exact HD against each row in ``rows``.
+
+        Prices every row with one feasible flow ``F_i`` instead of the
+        maximum ``M_i`` of :class:`HistogramMatcher`: all query bins
+        first send to the candidate's same bin, then to each of the
+        3^d - 1 neighbour offsets in a fixed order, as much as both
+        sides still hold.  Under one offset ``b -> b + o`` is injective,
+        so each stage is a single vectorized ``minimum`` and subtract
+        over a ``(query bins, rows)`` array, with no conflicts to solve.
+        A feasible flow never exceeds the maximum one, so
+
+            ``max(m, n_i) - F_i >= max(m, n_i) - M_i = HD_i``:
+
+        a ceiling at or below a pruning threshold proves the exact bound
+        cannot prune, without running the matcher.  Identical histograms
+        get 0 (the same-bin stage already matches everything).
+
+        ``rows`` defaults to every row; they are priced in chunks so the
+        working set stays near ``_CEILING_CELLS`` cells.
+        """
+        if rows is None:
+            rows = np.arange(self.count)
+        rows = np.asarray(rows, dtype=np.int64)
+        query_total = int(sum(query_histogram.values()))
+        ceilings = np.maximum(query_total, self.totals[rows])
+        if not query_histogram or rows.size == 0:
+            return ceilings
+        query_keys = np.asarray(list(query_histogram), dtype=np.int64).reshape(
+            len(query_histogram), -1
+        )
+        amounts = np.fromiter(query_histogram.values(), dtype=np.int64)
+        offsets = np.array(
+            sorted(product((-1, 0, 1), repeat=self.ndim), key=any), dtype=np.int64
+        )  # the zero offset (same bin) first
+        neighbor_bins = (query_keys[:, None, :] + offsets[None, :, :]).reshape(
+            -1, self.ndim
+        )
+        in_grid = self._in_grid(neighbor_bins)
+        if not in_grid.any():
+            return ceilings
+        columns, slots = np.unique(
+            self._ravel(neighbor_bins[in_grid]), return_inverse=True
+        )
+        slot_of = np.full(len(neighbor_bins), -1, dtype=np.int64)
+        slot_of[in_grid] = slots
+        slot_of = slot_of.reshape(len(query_keys), len(offsets))
+        stages = []
+        for stage in slot_of.T:
+            bins = np.nonzero(stage >= 0)[0]
+            if bins.size == len(query_keys):
+                stages.append((None, stage))  # every query bin takes part
+            elif bins.size:
+                stages.append((bins, stage[bins]))
+
+        # The transposed column slice: one row per neighbourhood column,
+        # one column per priced row.  Counts fit int32 comfortably.
+        sliced = self._counts[:, columns]
+        chunk = max(1, _CEILING_CELLS // len(columns))
+        for start in range(0, rows.size, chunk):
+            part = sliced[rows[start : start + chunk]]
+            if self._sparse:
+                part = part.toarray()
+            mass = np.ascontiguousarray(part.T, dtype=np.int32)
+            left = np.repeat(amounts.astype(np.int32)[:, None], mass.shape[1], axis=1)
+            for bins, slot in stages:
+                held = mass[slot]
+                if bins is None:
+                    sent = np.minimum(left, held)
+                    left -= sent
+                else:
+                    offered = left[bins]
+                    sent = np.minimum(offered, held)
+                    left[bins] = offered - sent
+                held -= sent
+                mass[slot] = held
+            ceilings[start : start + chunk] -= query_total - left.sum(
+                axis=0, dtype=np.int64
+            )
+        return ceilings

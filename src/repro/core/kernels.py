@@ -47,7 +47,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from .edr import edr
-from .edr_batch import edr_many
+from .edr_batch import DEFAULT_REFINE_BATCH_SIZE, edr_many
 from .edr_bitparallel import edr_bitparallel, edr_many_bitparallel
 
 __all__ = [
@@ -256,14 +256,18 @@ def autotune_kernels(
 ) -> KernelSelection:
     """Race the kernels per length bucket on the database's own data.
 
-    For every length bucket present in the database, up to ``sample``
-    member trajectories (chosen by a seeded shuffle — deterministic for
-    a given database and seed, independent of timing) are refined
-    against a representative query (the database trajectory of median
-    length) by each candidate kernel, ``trials`` times; the best-of
-    time decides the bucket, with ties broken toward the legacy kernel.
-    ``time_fn`` defaults to ``time.perf_counter`` and is injectable so
-    tests can drive the choice deterministically.
+    For every length bucket present in the database, member trajectories
+    (chosen by a seeded shuffle — deterministic for a given database and
+    seed, independent of timing) are refined against a representative
+    query (the database trajectory of median length) by each candidate
+    kernel, ``trials`` times.  The batch kernels race on an engine-sized
+    batch — ``DEFAULT_REFINE_BATCH_SIZE`` members, or the whole bucket
+    if smaller — because a handful of members measures per-call
+    overhead, not the throughput a refine batch sees; ``scalar`` costs
+    one call per member, so it keeps the first ``sample`` of them.  The
+    best-of time per DP cell decides the bucket, with ties broken toward
+    the legacy kernel.  ``time_fn`` defaults to ``time.perf_counter``
+    and is injectable so tests can drive the choice deterministically.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -291,25 +295,48 @@ def autotune_kernels(
     seconds_by_kernel: Dict[str, float] = {}
     for bucket in sorted(buckets):
         members = buckets[bucket]
-        if len(members) > sample:
-            chosen = rng.choice(len(members), size=sample, replace=False)
-            members = [members[int(index)] for index in np.sort(chosen)]
-        candidates = [database.trajectories[index] for index in members]
-        cells = len(query) * int(sum(len(c) for c in candidates))
+        if len(members) > DEFAULT_REFINE_BATCH_SIZE:
+            chosen = rng.choice(
+                len(members), size=DEFAULT_REFINE_BATCH_SIZE, replace=False
+            )
+            members = [members[int(index)] for index in chosen]
+        batch = [database.trajectories[index] for index in sorted(members)]
+        singles = [database.trajectories[index] for index in sorted(members[:sample])]
         best_kernel = None
         best_key = None
-        for kernel in kernels:
-            elapsed = None
+        # scalar races last: it pays one call per member, so a trial stops
+        # as soon as its time alone loses to the best kernel so far.
+        for kernel in sorted(kernels, key=lambda name: name == "scalar"):
+            if kernel == "scalar":
+                groups = [[candidate] for candidate in singles]
+            else:
+                groups = [batch]
+            group_cells = [
+                len(query) * int(sum(len(c) for c in group)) for group in groups
+            ]
+            cells = sum(group_cells)
+            budget = best_key[0] * cells if best_key is not None else float("inf")
+            elapsed = float("inf")
+            timed = (float("inf"), 0, 0.0)  # (seconds per cell, cells, seconds)
             for _ in range(trials):
                 start = clock()
-                run_kernel(kernel, query, candidates, database.epsilon)
-                delta = clock() - start
-                elapsed = delta if elapsed is None else min(elapsed, delta)
-            cells_by_kernel[kernel] = cells_by_kernel.get(kernel, 0.0) + cells
-            seconds_by_kernel[kernel] = seconds_by_kernel.get(kernel, 0.0) + max(
-                elapsed, 0.0
+                done, spent = 0, 0.0
+                for group, group_size in zip(groups, group_cells):
+                    run_kernel(kernel, query, group, database.epsilon)
+                    done += group_size
+                    spent = max(clock() - start, 0.0)
+                    if spent > budget:
+                        break
+                if done == cells:
+                    elapsed = min(elapsed, spent)
+                if done:
+                    timed = min(timed, (spent / done, done, spent))
+            cells_by_kernel[kernel] = cells_by_kernel.get(kernel, 0.0) + timed[1]
+            seconds_by_kernel[kernel] = (
+                seconds_by_kernel.get(kernel, 0.0) + timed[2]
             )
-            key = (elapsed, preference.get(kernel, len(preference)))
+            per_cell = elapsed / cells if cells else 0.0
+            key = (per_cell, preference.get(kernel, len(preference)))
             if best_key is None or key < best_key:
                 best_key = key
                 best_kernel = kernel

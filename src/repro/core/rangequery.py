@@ -22,15 +22,18 @@ import numpy as np
 
 from .database import TrajectoryDatabase
 from .edr_batch import DEFAULT_REFINE_BATCH_SIZE
-from .kernels import length_bucket, resolve_kernel_plan, run_kernel, scalar_kernel
+from .kernels import KernelPlan, resolve_kernel_plan, scalar_kernel
 from .search import (
     Neighbor,
     Pruner,
+    QueryPruner,
     SearchStats,
+    _fetch_each,
     _PendingBatches,
     _normalized_batch_size,
     _prunes_candidate,
     _quick_bound_arrays,
+    _verify_buckets,
 )
 from .trajectory import Trajectory
 
@@ -60,6 +63,38 @@ def range_scan(
             results.append(Neighbor(index, distance))
     stats.elapsed_seconds = time.perf_counter() - start
     return results, stats
+
+
+def _verify_range_buckets(
+    database: TrajectoryDatabase,
+    query: Trajectory,
+    buckets: Sequence[List[int]],
+    radius: float,
+    early_abandon: bool,
+    stats: SearchStats,
+    plan: KernelPlan,
+    query_pruners: Sequence[QueryPruner],
+    results: List[Neighbor],
+) -> None:
+    """Verify refine buckets against the radius; collect the qualifiers.
+
+    The radius is the only bound, and it never moves, so every bucket of
+    a drain runs under the same bound and shares one kernel call per
+    kernel (:func:`~repro.core.search._verify_buckets`).  Records and
+    results still follow bucket order.
+    """
+    verified = _verify_buckets(
+        database, query, buckets, stats, plan,
+        radius if early_abandon else None, fetch=_fetch_each,
+    )
+    for bucket, distances in zip(buckets, verified):
+        for candidate_index, distance in zip(bucket, distances):
+            distance = float(distance)
+            if np.isfinite(distance):
+                for query_pruner in query_pruners:
+                    query_pruner.record(candidate_index, distance)
+                if distance <= radius:
+                    results.append(Neighbor(candidate_index, distance))
 
 
 def range_search(
@@ -105,29 +140,11 @@ def range_search(
     batch_size = _normalized_batch_size(refine_batch_size)
     pending = _PendingBatches(batch_size) if batch_size is not None else None
 
-    def verify_batch(candidate_indices: List[int]) -> None:
-        bound = radius if early_abandon else None
-        bucket = length_bucket(int(database.lengths[candidate_indices[0]]))
-        kernel = plan.kernel_for_bucket(bucket)
-        stats.kernel_buckets[str(bucket)] = kernel
-        candidates = [database.trajectories[i] for i in candidate_indices]
-        kernel_start = time.perf_counter()
-        distances = run_kernel(
-            kernel, query, candidates, database.epsilon, bounds=bound
+    def verify(buckets: List[List[int]]) -> None:
+        _verify_range_buckets(
+            database, query, buckets, radius, early_abandon, stats, plan,
+            query_pruners, results,
         )
-        stats.note_kernel(
-            kernel,
-            len(query) * int(sum(len(c) for c in candidates)),
-            time.perf_counter() - kernel_start,
-        )
-        stats.true_distance_computations += len(candidate_indices)
-        for candidate_index, distance in zip(candidate_indices, distances):
-            distance = float(distance)
-            if np.isfinite(distance):
-                for query_pruner in query_pruners:
-                    query_pruner.record(candidate_index, distance)
-                if distance <= radius:
-                    results.append(Neighbor(candidate_index, distance))
 
     for index in range(len(database)):
         pruned = False
@@ -154,10 +171,9 @@ def range_search(
             continue
         full_bucket = pending.add(index, int(database.lengths[index]))
         if full_bucket is not None:
-            verify_batch(full_bucket)
+            verify([full_bucket])
     if pending is not None:
-        for bucket in pending.drain():
-            verify_batch(bucket)
+        verify(pending.drain())
         # Batches flush out of database order; restore the scalar
         # path's index-ordered result list.
         results.sort(key=lambda neighbor: neighbor.index)

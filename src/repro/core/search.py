@@ -275,6 +275,16 @@ class QueryPruner:
         """The pruner's strongest bound, with no threshold short-cut."""
         return self.lower_bound(candidate_index)
 
+    def exact_prunes(self, candidate_index: int, threshold: float) -> bool:
+        """Exactly ``exact_lower_bound(candidate_index) > threshold``.
+
+        The engines' exact-stage decision.  Pruners that can settle some
+        of these decisions more cheaply than the exact bound (the
+        histogram family's flow ceiling) override it; the answer must
+        stay the same boolean.
+        """
+        return self.exact_lower_bound(candidate_index) > threshold
+
     def bulk_quick_lower_bounds(self) -> np.ndarray:
         """:meth:`quick_lower_bound` for every candidate, vectorized.
 
@@ -359,8 +369,12 @@ class _HistogramQuery(QueryPruner):
         self._database = database_histograms
         self._stores = array_stores
         self.database_size = len(database_histograms[0])
-        # One matcher per projection, built on the first exact call.
+        # Exact-stage state, built on first use: one matcher per
+        # projection, the bulk quick bounds (kept once computed), and the
+        # flow ceilings of the rows that can still reach the exact stage.
         self._matchers: Optional[List[HistogramMatcher]] = None
+        self._quick: Optional[np.ndarray] = None
+        self._ceilings: Optional[np.ndarray] = None
         # The sharded schedule skips d-D exact bounds: measured there,
         # running them did not pay for itself (docs/SHARDING.md).
         self.exact_stage_cheap = all(
@@ -405,16 +419,56 @@ class _HistogramQuery(QueryPruner):
             )
         )
 
+    def exact_prunes(self, candidate_index: int, threshold: float) -> bool:
+        # The flow ceiling bounds the exact HD from above: at or below the
+        # threshold it settles "not pruned" without running the matcher.
+        ceilings = self._ceilings
+        if ceilings is None:
+            ceilings = self._ceilings = self._flow_ceilings(threshold)
+        if ceilings[candidate_index] <= threshold:
+            return False
+        return self.exact_lower_bound(candidate_index) > threshold
+
+    def _flow_ceilings(self, threshold: float) -> np.ndarray:
+        """Per-row ceilings of the exact HD, +inf where none was priced.
+
+        Priced once per query, at the first exact check, for the rows
+        whose quick bound does not exceed that check's threshold: the
+        engines only tighten their threshold and run the quick stage
+        first, so no other row reaches the exact stage.  With several
+        projections the max of the per-projection ceilings bounds the max
+        of the exact HDs.  Engines that never materialize the bulk quick
+        bounds (block-skipping tiered scans) get no ceilings, and every
+        exact check there runs the matcher.
+        """
+        ceilings = np.full(self.database_size, np.inf)
+        if self._stores is None or self._quick is None:
+            return ceilings
+        rows = np.nonzero(self._quick <= threshold)[0]
+        if rows.size:
+            ceilings[rows] = np.max(
+                [
+                    store.bulk_flow_ceilings(query_histogram, rows)
+                    for query_histogram, store in zip(self._query, self._stores)
+                ],
+                axis=0,
+            )
+        return ceilings
+
     def bulk_quick_lower_bounds(self) -> np.ndarray:
         if self._stores is None:
             return super().bulk_quick_lower_bounds()
-        quick = self._stores[0].bulk_quick_bounds(self._query[0])
-        for query_histogram, store in zip(self._query[1:], self._stores[1:]):
-            np.maximum(quick, store.bulk_quick_bounds(query_histogram), out=quick)
-        return quick.astype(np.float64)
+        if self._quick is None:
+            quick = self._stores[0].bulk_quick_bounds(self._query[0])
+            for query_histogram, store in zip(self._query[1:], self._stores[1:]):
+                np.maximum(
+                    quick, store.bulk_quick_bounds(query_histogram), out=quick
+                )
+            self._quick = quick.astype(np.float64)
+        return self._quick
 
     def bulk_lower_bounds(self, threshold: float = float("inf")) -> np.ndarray:
-        bounds = self.bulk_quick_lower_bounds()
+        bounds = self.bulk_quick_lower_bounds().copy()
         if np.isfinite(threshold):
             survivors = np.nonzero(bounds <= threshold)[0]
         else:
@@ -825,7 +879,7 @@ def _prunes_candidate(
     if quick_array[candidate_index] > threshold:
         return True
     if query_pruner.two_stage:
-        return query_pruner.exact_lower_bound(candidate_index) > threshold
+        return query_pruner.exact_prunes(candidate_index, threshold)
     return False
 
 
@@ -890,6 +944,93 @@ class _PendingBatches:
         return buckets
 
 
+def _fetch_candidates(database: TrajectoryDatabase, candidate_indices: List[int]):
+    """The trajectories of ``candidate_indices``, with readahead when paged.
+
+    Disk-resident trajectory lists expose ``fetch_many`` for batched,
+    extent-ordered readahead; plain lists take the comprehension path.
+    """
+    fetch_many = getattr(database.trajectories, "fetch_many", None)
+    if fetch_many is not None:
+        return fetch_many(candidate_indices)
+    return [database.trajectories[index] for index in candidate_indices]
+
+
+def _fetch_each(database: TrajectoryDatabase, candidate_indices: List[int]):
+    """The trajectories of ``candidate_indices``, read one at a time."""
+    return [database.trajectories[index] for index in candidate_indices]
+
+
+def _verify_buckets(
+    database: TrajectoryDatabase,
+    query: Trajectory,
+    buckets: Sequence[List[int]],
+    stats: SearchStats,
+    plan: KernelPlan,
+    bound: Optional[float],
+    fetch=_fetch_candidates,
+) -> List[np.ndarray]:
+    """EDR of every candidate in ``buckets``, all under one fixed bound.
+
+    Each bucket takes the kernel ``plan`` picks for its length bucket;
+    the buckets that share a kernel run as *one* kernel call over their
+    concatenated candidates.  A kernel step costs the same however few
+    lanes it carries, so a drain of several small buckets pays for one
+    call instead of one per bucket.  Every kernel returns the same
+    distance and sentinel for a candidate whatever its batch mates, so
+    the grouping changes no value.  Candidates are fetched bucket by
+    bucket in the given order (the buffer-pool access order of a
+    per-bucket loop), and ``kernel_buckets``, ``kernel_cells`` and
+    ``true_distance_computations`` are counted exactly as per bucket.
+    Returns one distance array per bucket, in bucket order.
+    """
+    kernels = []
+    fetched = []
+    for bucket in buckets:
+        key = length_bucket(int(database.lengths[bucket[0]]))
+        kernel = plan.kernel_for_bucket(key)
+        stats.kernel_buckets[str(key)] = kernel
+        kernels.append(kernel)
+        fetched.append(fetch(database, bucket))
+    distances: List[Optional[np.ndarray]] = [None] * len(buckets)
+    for kernel in dict.fromkeys(kernels):
+        members = [slot for slot, name in enumerate(kernels) if name == kernel]
+        candidates = [
+            candidate for slot in members for candidate in fetched[slot]
+        ]
+        start = time.perf_counter()
+        values = run_kernel(
+            kernel, query, candidates, database.epsilon, bounds=bound
+        )
+        stats.note_kernel(
+            kernel,
+            len(query) * int(sum(len(candidate) for candidate in candidates)),
+            time.perf_counter() - start,
+        )
+        offset = 0
+        for slot in members:
+            size = len(buckets[slot])
+            distances[slot] = values[offset : offset + size]
+            offset += size
+    stats.true_distance_computations += sum(len(bucket) for bucket in buckets)
+    return distances  # type: ignore[return-value]
+
+
+def _offer_batch(
+    candidate_indices: List[int],
+    distances: np.ndarray,
+    result: _ResultList,
+    query_pruners: Sequence[QueryPruner],
+) -> None:
+    """Record and offer verified candidates in order, as the scalar loop does."""
+    for candidate_index, distance in zip(candidate_indices, distances):
+        distance = float(distance)
+        if np.isfinite(distance):
+            for query_pruner in query_pruners:
+                query_pruner.record(candidate_index, distance)
+        result.offer(candidate_index, distance)
+
+
 def _refine_batch(
     database: TrajectoryDatabase,
     query: Trajectory,
@@ -914,32 +1055,50 @@ def _refine_batch(
     """
     best = result.best_so_far
     bound = best if early_abandon and np.isfinite(best) else None
-    bucket = length_bucket(int(database.lengths[candidate_indices[0]]))
-    kernel = plan.kernel_for_bucket(bucket)
-    stats.kernel_buckets[str(bucket)] = kernel
-    # Disk-resident trajectory lists expose ``fetch_many`` for batched,
-    # extent-ordered readahead; plain lists take the comprehension path.
-    fetch_many = getattr(database.trajectories, "fetch_many", None)
-    if fetch_many is not None:
-        candidates = fetch_many(candidate_indices)
-    else:
-        candidates = [database.trajectories[index] for index in candidate_indices]
-    start = time.perf_counter()
-    distances = run_kernel(
-        kernel, query, candidates, database.epsilon, bounds=bound
+    (distances,) = _verify_buckets(
+        database, query, [candidate_indices], stats, plan, bound
     )
-    stats.note_kernel(
-        kernel,
-        len(query) * int(sum(len(candidate) for candidate in candidates)),
-        time.perf_counter() - start,
-    )
-    stats.true_distance_computations += len(candidate_indices)
-    for candidate_index, distance in zip(candidate_indices, distances):
-        distance = float(distance)
-        if np.isfinite(distance):
-            for query_pruner in query_pruners:
-                query_pruner.record(candidate_index, distance)
-        result.offer(candidate_index, distance)
+    _offer_batch(candidate_indices, distances, result, query_pruners)
+
+
+def _refine_drained(
+    database: TrajectoryDatabase,
+    query: Trajectory,
+    buckets: List[List[int]],
+    result: _ResultList,
+    stats: SearchStats,
+    query_pruners: Sequence[QueryPruner],
+    early_abandon: bool,
+    plan: KernelPlan,
+) -> None:
+    """Verify the buckets of one drain, byte-equal to a per-bucket loop.
+
+    A bucket of that loop runs unbounded when early abandoning is off or
+    the result still holds fewer than k answers when its turn comes.
+    Unbounded distances are all finite, so every offer before the k-th
+    fills one more slot, and the buckets that run unbounded are exactly
+    the leading ones whose predecessors hold fewer than ``k - len(result)``
+    candidates.  Those share one kernel call per kernel; records and
+    offers still follow bucket order.  The rest see a bound that
+    tightens bucket by bucket, so they keep one call each.
+    """
+    unbounded = len(buckets)
+    if early_abandon:
+        filled = len(result)
+        unbounded = 0
+        while unbounded < len(buckets) and filled < result.k:
+            filled += len(buckets[unbounded])
+            unbounded += 1
+    head = buckets[:unbounded]
+    if head:
+        verified = _verify_buckets(database, query, head, stats, plan, None)
+        for bucket, distances in zip(head, verified):
+            _offer_batch(bucket, distances, result, query_pruners)
+    for bucket in buckets[unbounded:]:
+        _refine_batch(
+            database, query, bucket, result, stats,
+            query_pruners, early_abandon, plan,
+        )
 
 
 def _normalized_batch_size(refine_batch_size: Optional[int]) -> Optional[int]:
@@ -1054,17 +1213,15 @@ def knn_search(
             # Seed the k-th-best bound as promptly as the scalar loop:
             # once enough candidates are pending to fill the result,
             # flush them so pruning can start firing.
-            for bucket in pending.drain():
-                _refine_batch(
-                    database, query, bucket, result, stats,
-                    query_pruners, early_abandon, plan,
-                )
-    if pending is not None:
-        for bucket in pending.drain():
-            _refine_batch(
-                database, query, bucket, result, stats,
+            _refine_drained(
+                database, query, pending.drain(), result, stats,
                 query_pruners, early_abandon, plan,
             )
+    if pending is not None:
+        _refine_drained(
+            database, query, pending.drain(), result, stats,
+            query_pruners, early_abandon, plan,
+        )
     stats.elapsed_seconds = time.perf_counter() - start
     return result.neighbors(), stats
 
@@ -1106,7 +1263,7 @@ def knn_sorted_scan(
         if (
             np.isfinite(best)
             and query_pruner.two_stage
-            and query_pruner.exact_lower_bound(candidate_index) > best
+            and query_pruner.exact_prunes(candidate_index, best)
         ):
             stats.credit(query_pruner.name)
             continue
@@ -1234,8 +1391,8 @@ def knn_sorted_search(
                     primary_query.lower_bound(candidate_index, best) > best
                 )
             elif primary_query.two_stage:
-                primary_prunes = (
-                    primary_query.exact_lower_bound(candidate_index) > best
+                primary_prunes = primary_query.exact_prunes(
+                    candidate_index, best
                 )
             else:
                 primary_prunes = False
@@ -1277,16 +1434,14 @@ def knn_sorted_search(
         elif not np.isfinite(result.best_so_far) and pending.total >= max(
             k - len(result), 1
         ):
-            for bucket in pending.drain():
-                _refine_batch(
-                    database, query, bucket, result, stats,
-                    all_queries, early_abandon, plan,
-                )
-    if pending is not None:
-        for bucket in pending.drain():
-            _refine_batch(
-                database, query, bucket, result, stats,
+            _refine_drained(
+                database, query, pending.drain(), result, stats,
                 all_queries, early_abandon, plan,
             )
+    if pending is not None:
+        _refine_drained(
+            database, query, pending.drain(), result, stats,
+            all_queries, early_abandon, plan,
+        )
     stats.elapsed_seconds = time.perf_counter() - start
     return result.neighbors(), stats

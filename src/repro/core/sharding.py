@@ -543,7 +543,7 @@ class _ShardRuntime:
             pruned_at = None
             if finite:
                 for position in exact_positions:
-                    if pruners[position].exact_lower_bound(local_index) > threshold:
+                    if pruners[position].exact_prunes(local_index, threshold):
                         pruned_at = position
                         break
             if pruned_at is not None:

@@ -88,6 +88,7 @@ from ..core.search import (
     _PendingBatches,
     _prunes_candidate,
     _refine_batch,
+    _refine_drained,
     _ResultList,
     _true_distance,
     knn_scan as _knn_scan,
@@ -1534,8 +1535,8 @@ class TieredDatabase:
                 elif primary_query.two_stage:
                     if primary_cost is not None:
                         filter_bytes += int(primary_cost[candidate_index])
-                    primary_prunes = (
-                        primary_query.exact_lower_bound(candidate_index) > best
+                    primary_prunes = primary_query.exact_prunes(
+                        candidate_index, best
                     )
                 else:
                     primary_prunes = False
@@ -1581,17 +1582,15 @@ class TieredDatabase:
             elif not np.isfinite(result.best_so_far) and pending.total >= max(
                 k - len(result), 1
             ):
-                for bucket in pending.drain():
-                    _refine_batch(
-                        database, query, bucket, result, stats,
-                        all_queries, early_abandon, plan,
-                    )
-        if pending is not None:
-            for bucket in pending.drain():
-                _refine_batch(
-                    database, query, bucket, result, stats,
+                _refine_drained(
+                    database, query, pending.drain(), result, stats,
                     all_queries, early_abandon, plan,
                 )
+        if pending is not None:
+            _refine_drained(
+                database, query, pending.drain(), result, stats,
+                all_queries, early_abandon, plan,
+            )
         stats.blocks_total = nblocks
         stats.blocks_opened = opened
         stats.elapsed_seconds = time.perf_counter() - start
@@ -1660,11 +1659,8 @@ class TieredDatabase:
         serial; ``bytes_touched`` shrinks from Θ(N) to summaries +
         opened blocks + per-visited-candidate scalar bounds.
         """
-        from ..core.kernels import (
-            length_bucket,
-            run_kernel,
-            scalar_kernel,
-        )
+        from ..core.kernels import scalar_kernel
+        from ..core.rangequery import _verify_range_buckets
         from ..core.search import Neighbor
 
         if radius < 0.0:
@@ -1711,29 +1707,11 @@ class TieredDatabase:
         batch_size = _normalized_batch_size(refine_batch_size)
         pending = _PendingBatches(batch_size) if batch_size is not None else None
 
-        def verify_batch(candidate_indices: List[int]) -> None:
-            bound = radius if early_abandon else None
-            bucket = length_bucket(int(database.lengths[candidate_indices[0]]))
-            kernel = plan.kernel_for_bucket(bucket)
-            stats.kernel_buckets[str(bucket)] = kernel
-            candidates = [database.trajectories[i] for i in candidate_indices]
-            kernel_start = time.perf_counter()
-            distances = run_kernel(
-                kernel, query, candidates, database.epsilon, bounds=bound
+        def verify(buckets: List[List[int]]) -> None:
+            _verify_range_buckets(
+                database, query, buckets, radius, early_abandon, stats, plan,
+                all_queries, results,
             )
-            stats.note_kernel(
-                kernel,
-                len(query) * int(sum(len(c) for c in candidates)),
-                time.perf_counter() - kernel_start,
-            )
-            stats.true_distance_computations += len(candidate_indices)
-            for candidate_index, distance in zip(candidate_indices, distances):
-                distance = float(distance)
-                if np.isfinite(distance):
-                    for query_pruner in all_queries:
-                        query_pruner.record(candidate_index, distance)
-                    if distance <= radius:
-                        results.append(Neighbor(candidate_index, distance))
 
         opened = 0
         for block_id in range(nblocks):
@@ -1767,7 +1745,7 @@ class TieredDatabase:
                 elif primary_query.two_stage:
                     if primary_cost is not None:
                         filter_bytes += int(primary_cost[index])
-                    pruned = primary_query.exact_lower_bound(index) > radius
+                    pruned = primary_query.exact_prunes(index, radius)
                 if pruned:
                     stats.credit(primary_query.name)
                     continue
@@ -1804,10 +1782,9 @@ class TieredDatabase:
                     continue
                 full_bucket = pending.add(index, int(database.lengths[index]))
                 if full_bucket is not None:
-                    verify_batch(full_bucket)
+                    verify([full_bucket])
         if pending is not None:
-            for bucket in pending.drain():
-                verify_batch(bucket)
+            verify(pending.drain())
             results.sort(key=lambda neighbor: neighbor.index)
         stats.blocks_total = nblocks
         stats.blocks_opened = opened

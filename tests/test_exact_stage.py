@@ -1,13 +1,17 @@
 """The exact histogram stage is the flow oracle, on every engine path.
 
-The exact HD bound runs through one per-query
-:class:`repro.core.histogram.HistogramMatcher`.  Here the bound is
-monkeypatched back to the Dinic reference in :mod:`tests.oracles`, and
-every engine that consults the exact stage must return the same answers
-*and* the same counters (``pruned_by``, ``true_distance_computations``)
-either way: the serial, sorted and range engines, the tiered store and
-the sharded engine with the exact stage forced on.
+The exact HD decision runs through a per-query flow ceiling and, when
+that does not settle it, one per-query
+:class:`repro.core.histogram.HistogramMatcher`.  Here the ceiling is
+switched off and the bound is monkeypatched back to the Dinic reference
+in :mod:`tests.oracles`, and every engine that consults the exact stage
+must return the same answers *and* the same counters (``pruned_by``,
+``true_distance_computations``) either way: the serial, sorted and
+range engines, the tiered store and the sharded engine with the exact
+stage forced on.
 """
+
+import numpy as np
 
 import pytest
 
@@ -31,8 +35,11 @@ def workload(sharding_workload):
 
 @pytest.fixture
 def oracle_exact(monkeypatch):
-    """Route the exact HD stage through the flow oracle; count the calls."""
+    """Route every exact HD decision through the flow oracle; count the calls."""
     calls = []
+
+    def no_ceilings(self, threshold):
+        return np.full(self.database_size, np.inf)
 
     def exact_lower_bound(self, candidate_index):
         calls.append(candidate_index)
@@ -47,6 +54,7 @@ def oracle_exact(monkeypatch):
         calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(_HistogramQuery, "exact_lower_bound", exact_lower_bound)
+            patch.setattr(_HistogramQuery, "_flow_ceilings", no_ceilings)
             result = function()
         assert calls, "the exact stage never ran"
         return result
