@@ -161,9 +161,17 @@ class HistogramMatcher:
         self._capacities = list(query.values())
         self.total = sum(self._capacities)
         targets: Dict[BinIndex, List[int]] = {}
-        for slot, bin_index in enumerate(query):
-            for neighbor in _approximate_neighbors(bin_index):
-                targets.setdefault(neighbor, []).append(slot)
+        if query:
+            # Query bins and their neighbours as rows of one integer array:
+            # one numpy pass instead of a generator per bin.
+            keys = np.asarray(list(query), dtype=np.int64)
+            offsets = np.array(
+                list(product((-1, 0, 1), repeat=keys.shape[1])), dtype=np.int64
+            )
+            neighbors = (keys[:, None, :] + offsets[None, :, :]).tolist()
+            for slot, around in enumerate(neighbors):
+                for neighbor in around:
+                    targets.setdefault(tuple(neighbor), []).append(slot)
         for slot, bin_index in enumerate(query):
             listed = targets[bin_index]
             listed.remove(slot)

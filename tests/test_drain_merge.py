@@ -7,7 +7,10 @@ the loop it replaced — and every engine with a drain must return the
 same answers and the same counters either way: ``pruned_by``,
 ``true_distance_computations``, ``kernel_cells`` and ``kernel_buckets``
 (in the same order), at several refine batch sizes, with early abandoning
-on and off, and with a dynamic pruner (NTI) recording distances.
+on and off, and with a dynamic pruner (NTI) recording distances.  A
+pass-through pruner at the end of every chain logs each recorded
+distance, so the record stream a dynamic pruner sees must match too —
+same candidates, same values, same order.
 """
 
 import numpy as np
@@ -17,7 +20,7 @@ from repro import TrajectoryDatabase, knn_search
 from repro.core import kernels as kernels_module
 from repro.core import rangequery, search
 from repro.core.kernels import KernelSelection
-from repro.core.search import knn_sorted_search
+from repro.core.search import Pruner, QueryPruner, knn_sorted_search
 from repro.service.pruning import build_pruners
 from repro.storage import TieredDatabase, build_store
 from repro.storage import tiered as tiered_module
@@ -31,6 +34,41 @@ BATCH_SIZES = (4, 16, 64)
 RADIUS_SHARE = 0.95
 # Lengths 5..70 span buckets 3..7; the plan mixes two kernels across them.
 TABLE = {3: "bitparallel", 4: "batched", 5: "bitparallel", 6: "batched", 7: "bitparallel"}
+
+
+class RecordLog(Pruner):
+    """Never prunes; logs every ``(candidate, distance)`` the engine records."""
+
+    name = "record-log"
+
+    def __init__(self, size, log):
+        self.size = size
+        self.log = log
+
+    def for_query(self, query):
+        return _RecordLogQuery(self)
+
+
+class _RecordLogQuery(QueryPruner):
+    name = RecordLog.name
+
+    def __init__(self, owner):
+        self.database_size = owner.size
+        self._log = owner.log
+
+    def lower_bound(self, candidate_index, threshold=float("inf")):
+        return 0.0
+
+    def bulk_quick_lower_bounds(self):
+        return np.zeros(self.database_size)
+
+    def record(self, candidate_index, true_distance):
+        self._log.append((candidate_index, true_distance))
+
+
+def chain(database, spec, log):
+    """The spec's pruners with a record log into ``log`` at the end."""
+    return [*build_pruners(database, spec), RecordLog(len(database), log)]
 
 
 @pytest.fixture(scope="module")
@@ -97,9 +135,10 @@ def per_bucket(monkeypatch):
     return run
 
 
-def outcome(result):
+def outcome(result, log):
     neighbors, stats = result
     return (
+        list(log),
         answers(neighbors),
         dict(stats.pruned_by),
         stats.true_distance_computations,
@@ -114,9 +153,12 @@ def assert_merge_is_invisible(per_bucket, engine, queries):
     """Equal outcomes merged vs per bucket; returns kernel calls saved."""
     saved = 0
     for query in queries:
-        expected, separate = per_bucket(lambda: engine(query), False)
-        got, merged = per_bucket(lambda: engine(query), True)
-        assert outcome(got) == outcome(expected)
+        log = []
+        expected, separate = per_bucket(lambda: engine(query, log), False)
+        want = outcome(expected, log)
+        log = []
+        got, merged = per_bucket(lambda: engine(query, log), True)
+        assert outcome(got, log) == want
         assert merged <= separate
         saved += separate - merged
     return saved
@@ -132,15 +174,15 @@ def serial_engines(database, spec, batch, early_abandon):
         refine_batch_size=batch, early_abandon=early_abandon, edr_kernel="auto"
     )
     return {
-        "knn_search": lambda query: knn_search(
-            database, query, 6, build_pruners(database, spec), **options
+        "knn_search": lambda query, log: knn_search(
+            database, query, 6, chain(database, spec, log), **options
         ),
-        "knn_sorted_search": lambda query: knn_sorted_search(
-            database, query, 6, *_split(build_pruners(database, spec)), **options
+        "knn_sorted_search": lambda query, log: knn_sorted_search(
+            database, query, 6, *_split(chain(database, spec, log)), **options
         ),
-        "range_search": lambda query: rangequery.range_search(
+        "range_search": lambda query, log: rangequery.range_search(
             database, query, RADIUS_SHARE * len(query),
-            build_pruners(database, spec), **options,
+            chain(database, spec, log), **options,
         ),
     }
 
@@ -169,25 +211,24 @@ def test_tiered_paths(
 
     def on_fresh_store(search_on):
         # A cold pool on both sides, so pages read compare like with like.
-        def engine(query):
+        def engine(query, log):
             with TieredDatabase.open(store_directory) as store:
                 store.database._kernel_selection = KernelSelection(
                     table=dict(TABLE), source="loaded"
                 )
-                return search_on(store, query)
+                return search_on(store, query, chain(store.database, spec, log))
 
         return engine
 
     searches = (
-        lambda store, query: store.knn_search(
-            query, 6, build_pruners(store.database, spec), **options
+        lambda store, query, pruners: store.knn_search(
+            query, 6, pruners, **options
         ),
-        lambda store, query: store.knn_sorted_search(
-            query, 6, *_split(build_pruners(store.database, spec)),
-            block_skip=block_skip, **options,
+        lambda store, query, pruners: store.knn_sorted_search(
+            query, 6, *_split(pruners), block_skip=block_skip, **options
         ),
-        lambda store, query: store.range_search(
-            query, RADIUS_SHARE * len(query), build_pruners(store.database, spec),
+        lambda store, query, pruners: store.range_search(
+            query, RADIUS_SHARE * len(query), pruners,
             block_skip=block_skip, **options,
         ),
     )
