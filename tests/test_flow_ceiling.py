@@ -26,8 +26,6 @@ from repro.storage import TieredDatabase, build_store
 
 from .oracles import answers, flow_histogram_distance
 
-scipy_sparse = pytest.importorskip("scipy.sparse")
-
 SETTINGS = settings(
     max_examples=60,
     deadline=None,
@@ -53,7 +51,8 @@ def cases(draw):
 
 def csr_copy(store):
     """The same store rebuilt around a CSR count matrix."""
-    matrix = scipy_sparse.csr_matrix(np.asarray(store._counts))
+    sparse = pytest.importorskip("scipy.sparse")
+    matrix = sparse.csr_matrix(np.asarray(store._counts))
     return HistogramArrayStore.from_state(
         store.ndim, store._lo, store._shape, store.totals,
         (matrix.data, matrix.indices, matrix.indptr), sparse=True,
