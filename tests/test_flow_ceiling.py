@@ -11,6 +11,8 @@ running the matcher.  Two things must hold:
   the matcher) changes no answer and no counter on any engine path.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -119,12 +121,9 @@ class TestBulkFlowCeilings:
         ndim, rows, query = case
         store = HistogramArrayStore(rows, ndim)
         whole = store.bulk_flow_ceilings(query)
-        saved = histogram_module._CEILING_CELLS
-        histogram_module._CEILING_CELLS = 1  # one row per chunk
-        try:
+        with mock.patch.object(histogram_module, "_CEILING_CELLS", 1):
+            # One row per chunk.
             assert np.array_equal(store.bulk_flow_ceilings(query), whole)
-        finally:
-            histogram_module._CEILING_CELLS = saved
 
     def test_empty_query_and_empty_rows(self):
         store = HistogramArrayStore([{}, {(0, 0): 3}], 2)
